@@ -1,0 +1,5 @@
+"""Socket-level benchmark of the measurement daemon and fleet coordinator.
+
+Run ``python3 perfbench/run.py --workload <name> --seed <n> --seconds <s>
+--trace <0|1>`` from the repository root; see ``perfbench/README.md``.
+"""
