@@ -12,6 +12,7 @@ BENCH_SUBSET = benchmarks/bench_fig04_gamma.py \
                benchmarks/bench_abl_shard_scaling.py \
                benchmarks/bench_shard_wallclock.py \
                benchmarks/bench_abl_kernel.py \
+               benchmarks/bench_abl_netflow_decode.py \
                benchmarks/bench_fleet_scale.py
 
 # Synthetic SHAs for the local/CI instrumentation-overhead gate: the

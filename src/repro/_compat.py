@@ -10,6 +10,8 @@ of raising at import time.
 
 from __future__ import annotations
 
+import importlib.util
+
 try:  # pragma: no cover - exercised via the no-numpy CI leg
     import numpy as np
 
@@ -18,12 +20,10 @@ except ImportError:  # pragma: no cover
     np = None  # type: ignore[assignment]
     HAVE_NUMPY = False
 
-try:  # pragma: no cover - exercised via the no-numpy CI leg
-    from scipy import stats as scipy_stats
+# SciPy is only looked up, not imported: importing it costs every
+# daemon, coordinator and CLI launch about a second and 70 MB, and only
+# the benchmark statistics use it (``repro.bench.stats`` imports it on
+# first use).
+HAVE_SCIPY = importlib.util.find_spec("scipy") is not None
 
-    HAVE_SCIPY = True
-except ImportError:  # pragma: no cover
-    scipy_stats = None  # type: ignore[assignment]
-    HAVE_SCIPY = False
-
-__all__ = ["np", "HAVE_NUMPY", "scipy_stats", "HAVE_SCIPY"]
+__all__ = ["np", "HAVE_NUMPY", "HAVE_SCIPY"]

@@ -12,7 +12,7 @@ from __future__ import annotations
 import math
 from typing import Sequence, Tuple
 
-from repro._compat import HAVE_SCIPY, scipy_stats as _scipy_stats
+from repro._compat import HAVE_SCIPY
 from repro.errors import ConfigurationError
 
 
@@ -95,6 +95,22 @@ def _t_ppf(p: float, df: float) -> float:
     return 0.5 * (lo + hi)
 
 
+def _t_quantile(p: float, df: int) -> float:
+    """Student-t quantile: scipy's when installed, else :func:`_t_ppf`.
+
+    scipy is imported here, on first use, so that importing the
+    package (the CLI, the daemon, the fleet) never pays for it.
+    """
+    if HAVE_SCIPY:
+        try:
+            from scipy import stats as scipy_stats
+        except ImportError:  # pragma: no cover - found but unimportable
+            pass
+        else:
+            return float(scipy_stats.t.ppf(p, df=df))
+    return _t_ppf(p, df)
+
+
 def confidence_interval(
     samples: Sequence[float], confidence: float = 0.99
 ) -> Tuple[float, float]:
@@ -114,11 +130,7 @@ def confidence_interval(
     variance = sum((x - mean) ** 2 for x in samples) / (n - 1)
     sem = math.sqrt(variance / n)
     p = (1 + confidence) / 2
-    if HAVE_SCIPY:
-        t_crit = float(_scipy_stats.t.ppf(p, df=n - 1))
-    else:
-        t_crit = _t_ppf(p, n - 1)
-    return mean, t_crit * sem
+    return mean, _t_quantile(p, n - 1) * sem
 
 
 def summarize(samples: Sequence[float], confidence: float = 0.99) -> str:

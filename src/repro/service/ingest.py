@@ -11,11 +11,12 @@ Three pieces, all living on the daemon's event loop:
   dropped for backpressure — mirroring the parallel subsystem's
   stall-not-drop ring semantics — and the only drops anywhere in
   ingest are malformed inputs, each one counted.
-* :class:`NetFlowUdpSource` — NetFlow v5 datagrams.  Reads via
-  ``loop.add_reader`` on a plain socket so that stalling is literal:
-  the reader is removed, datagrams queue in the kernel receive buffer
-  (sized generously) exactly as they would in a NIC ring, and reading
-  resumes when the feeder drains.
+* :class:`NetFlowUdpSource` — NetFlow v5 datagrams, decoded straight
+  into ``(ids, vals)`` by :func:`repro.traffic.netflow.decode_items`.
+  Reads via ``loop.add_reader`` on a plain socket so that stalling is
+  literal: the reader is removed, datagrams queue in the kernel
+  receive buffer (sized generously) exactly as they would in a NIC
+  ring, and reading resumes when the feeder drains.
 * :class:`ReportTcpSource` — length-prefixed binary
   :mod:`repro.netwide.wire` report frames.  Stalling is TCP flow
   control: the coroutine simply stops reading until there is room.
@@ -33,7 +34,15 @@ from repro.core.interface import QMaxBase
 from repro.errors import NetFlowDecodeError, WireFormatError
 from repro.netwide.wire import Report, from_bytes
 from repro.obs import SIZE_BUCKETS, resolve_registry
-from repro.traffic.netflow import FlowRecord, decode_packet
+# The UDP reader decodes with decode_items.  decode_packet, with
+# items_from_flow_records below, is the reference path it must equal;
+# both stay importable from this module because perfbench's traced
+# daemon wraps them here by name.
+from repro.traffic.netflow import (  # noqa: F401
+    FlowRecord,
+    decode_items,
+    decode_packet,
+)
 from repro.types import ItemId, Value
 
 _LOG = logging.getLogger("repro.service.ingest")
@@ -300,14 +309,13 @@ class NetFlowUdpSource:
                 return
             self.datagrams += 1
             try:
-                records = decode_packet(data)
+                ids, vals = decode_items(data)
             except NetFlowDecodeError:
                 # The one legitimate drop: garbage input, counted.
                 self.malformed += 1
                 continue
-            if not records:
+            if not ids:
                 continue
-            ids, vals = items_from_flow_records(records)
             self.records += len(ids)
             if not self._feeder.put(ids, vals):
                 self._pause()

@@ -20,6 +20,7 @@ configuration; the cap drops oldest-first and is recorded in the
 from __future__ import annotations
 
 import json
+import numbers
 import os
 import time
 from typing import Any, Dict, List, Optional, Tuple
@@ -34,7 +35,8 @@ SNAPSHOT_FILE = "snapshot.json"
 
 # ----------------------------------------------------------------------
 # Id codec: JSON-safe, round-trip-exact for the id types the engines
-# accept (ints, strings, floats, and nested tuples thereof).
+# accept (ints, strings, floats, and nested tuples thereof).  Other
+# integer types, such as NumPy's, come back as the equal plain int.
 # ----------------------------------------------------------------------
 
 def encode_id(item_id: ItemId) -> Any:
@@ -49,6 +51,10 @@ def encode_id(item_id: ItemId) -> Any:
         return {"b": item_id}
     if type(item_id) is tuple:
         return {"t": [encode_id(part) for part in item_id]}
+    if isinstance(item_id, numbers.Integral) and not isinstance(item_id, bool):
+        # Integer ids from array paths (np.uint64, np.int64, ...) are
+        # checkpointed as the plain int they equal.
+        return int(item_id)
     raise ServiceError(
         f"cannot snapshot id of type {type(item_id).__name__}: "
         f"{item_id!r}"

@@ -7,6 +7,7 @@ import os
 
 import pytest
 
+from repro._compat import HAVE_NUMPY, np
 from repro.errors import ServiceError
 from repro.service.snapshot import (
     SNAPSHOT_FILE,
@@ -17,6 +18,8 @@ from repro.service.snapshot import (
     restore_items,
     write_snapshot,
 )
+
+needs_numpy = pytest.mark.skipif(not HAVE_NUMPY, reason="needs numpy")
 
 
 class TestIdCodec:
@@ -39,6 +42,32 @@ class TestIdCodec:
         back = decode_id(json.loads(json.dumps(encode_id(item_id))))
         assert back == item_id
         assert type(back) is type(item_id)
+
+    @needs_numpy
+    @pytest.mark.parametrize("dtype", ["uint64", "int64", "uint32"])
+    def test_numpy_integer_ids_encode_as_int(self, dtype):
+        """Array paths hand out NumPy integer ids; they checkpoint as
+        the plain int they equal, including past 2**63 for uint64."""
+        info = np.iinfo(dtype)
+        for value in (0, 7, int(info.max)):
+            item_id = np.dtype(dtype).type(value)
+            back = decode_id(json.loads(json.dumps(encode_id(item_id))))
+            assert back == value
+            assert type(back) is int
+
+    @needs_numpy
+    def test_numpy_ids_survive_a_snapshot(self, tmp_path):
+        retained = [(np.uint64(2**64 - 1), 9.0), (np.int64(-3), 4.0),
+                    ((np.uint64(5), 6), 1.0)]
+        state = build_state(
+            backend_name="qmax", q=4, seq=1, retained=retained,
+            evicted=[], evicted_dropped=0, counters={},
+        )
+        write_snapshot(str(tmp_path), state)
+        back, _evicted, _dropped, _seq = restore_items(
+            load_snapshot(str(tmp_path))
+        )
+        assert back == [(2**64 - 1, 9.0), (-3, 4.0), ((5, 6), 1.0)]
 
     def test_unsupported_type_is_typed_error(self):
         with pytest.raises(ServiceError):

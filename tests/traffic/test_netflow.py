@@ -2,15 +2,20 @@
 
 from __future__ import annotations
 
+import random
+import struct
+
 import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from repro.errors import NetFlowDecodeError, ReproError
 from repro.errors import ConfigurationError
+from repro.service.ingest import items_from_flow_records
 from repro.traffic.netflow import (
     MAX_RECORDS_PER_PACKET,
     FlowRecord,
+    decode_items,
     decode_packet,
     decode_stream,
     encode_packets,
@@ -169,3 +174,113 @@ def test_roundtrip_property(n, seed):
         for _ in range(n)
     ]
     assert decode_stream(encode_packets(records)) == records
+
+
+class TestDecodeItems:
+    """``decode_items`` is the collector's fast path; the reference is
+    ``items_from_flow_records(decode_packet(...))``."""
+
+    def test_keys_by_source_ip_values_by_octets(self):
+        records = [_record(i) for i in range(5)]
+        (packet,) = encode_packets(records)
+        ids, vals = decode_items(packet)
+        assert ids == [r.src_ip for r in records]
+        assert vals == [float(r.octets) for r in records]
+
+    def test_u32_extremes(self):
+        records = [
+            FlowRecord(0, 1, 2, 3, 6, 4, 0),
+            FlowRecord(2**32 - 1, 1, 2, 3, 6, 4, 2**32 - 1),
+        ]
+        (packet,) = encode_packets(records)
+        assert decode_items(packet) == ([0, 2**32 - 1], [0.0, 2**32 - 1.0])
+
+    def test_header_only_packet_is_empty(self):
+        (packet,) = encode_packets([_record(1)])
+        empty = packet[:2] + b"\x00\x00" + packet[4:24]
+        assert decode_items(empty) == ([], [])
+        assert decode_packet(empty) == []
+
+    def test_malformed_raises_typed_error(self):
+        (packet,) = encode_packets([_record(1), _record(2)])
+        for bad in (b"", packet[:10], packet[:-1], b"\x00\x09" + packet[2:],
+                    "not bytes", None):
+            with pytest.raises(NetFlowDecodeError):
+                decode_items(bad)  # type: ignore[arg-type]
+
+
+#: Field offsets inside a 48-byte v5 record that decode_items reads.
+_SRC_IP_AT, _OCTETS_AT = 0, 20
+_U32_EDGES = (0, 1, 2**31, 2**32 - 2, 2**32 - 1)
+
+
+def _valid_packet(rng: random.Random, n: int) -> bytes:
+    """A well-formed v5 packet of ``n`` records: random bytes in every
+    field, with src_ip/octets often pinned to u32 edge values."""
+    header = struct.pack("!HH", 5, n) + rng.randbytes(20)
+    body = bytearray(rng.randbytes(48 * n))
+    for i in range(n):
+        for at in (_SRC_IP_AT, _OCTETS_AT):
+            if rng.random() < 0.3:
+                struct.pack_into("!I", body, 48 * i + at,
+                                 rng.choice(_U32_EDGES))
+    return header + bytes(body)
+
+
+def _mutate(rng: random.Random, packet: bytes):
+    kind = rng.randrange(7)
+    data = bytearray(packet)
+    if kind == 0:  # bit flips anywhere, header included
+        for _ in range(rng.randint(1, 4)):
+            pos = rng.randrange(len(data))
+            data[pos] ^= 1 << rng.randrange(8)
+    elif kind == 1:  # truncation
+        del data[rng.randrange(len(data) + 1):]
+    elif kind == 2:  # trailing bytes past the last record
+        data += rng.randbytes(rng.randint(1, 100))
+    elif kind == 3:  # wrong version
+        struct.pack_into("!H", data, 0,
+                         rng.choice([0, 1, 4, 6, 9, 10, 0xFFFF]))
+    elif kind == 4:  # count beyond the v5 maximum, padded to fit
+        count = rng.choice([MAX_RECORDS_PER_PACKET + 1, 64, 0xFFFF])
+        struct.pack_into("!H", data, 2, count)
+        if count < 100:  # so the length check alone would pass
+            data += bytes(48 * count)
+    elif kind == 5:  # other bytes-like types
+        return rng.choice([bytearray, memoryview])(bytes(data))
+    else:  # not bytes at all
+        return rng.choice([packet.hex(), list(packet), None, 5, 5.0])
+    return bytes(data)
+
+
+def _outcome(decode, data):
+    try:
+        return decode(data)
+    except NetFlowDecodeError:
+        return NetFlowDecodeError
+
+
+@pytest.mark.parametrize("seed", range(3))
+def test_decode_items_matches_reference(seed):
+    """Differential fuzz: on every input ``decode_items`` returns what
+    ``items_from_flow_records(decode_packet(...))`` returns, or both
+    raise NetFlowDecodeError.  Ids are plain ints, so snapshots can
+    checkpoint UDP-ingested ids."""
+    rng = random.Random(seed)
+    decoded = raised = 0
+    for _ in range(1000):
+        packet = _valid_packet(rng, rng.randint(0, MAX_RECORDS_PER_PACKET))
+        data = packet if rng.random() < 0.3 else _mutate(rng, packet)
+        expected = _outcome(
+            lambda d: items_from_flow_records(decode_packet(d)), data)
+        got = _outcome(decode_items, data)
+        assert got == expected, (seed, data)
+        if got is NetFlowDecodeError:
+            raised += 1
+            continue
+        decoded += 1
+        ids, vals = got
+        assert all(type(i) is int for i in ids)
+        assert all(type(v) is float for v in vals)
+    # Both outcomes are exercised, not just one.
+    assert decoded > 300 and raised > 100, (decoded, raised)
